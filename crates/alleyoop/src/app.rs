@@ -296,7 +296,7 @@ impl AlleyOopApp {
 mod tests {
     use super::*;
     use rand::SeedableRng;
-    use sos_net::Frame;
+    use sos_core::middleware::encounter;
 
     fn rng(seed: u64) -> rand::rngs::StdRng {
         rand::rngs::StdRng::seed_from_u64(seed)
@@ -326,29 +326,9 @@ mod tests {
         (cloud, alice, bob)
     }
 
-    /// Exchange frames between two apps until quiescent.
+    /// Runs one encounter: `b` browses `a`'s advertisement.
     fn pump(a: &mut AlleyOopApp, b: &mut AlleyOopApp, now: SimTime) {
-        let mut r = rng(9);
-        let ad = a.middleware().advertisement(now);
-        let mut queue: std::collections::VecDeque<(PeerId, PeerId, Frame)> = b
-            .middleware_mut()
-            .handle_frame(a.peer_id(), Frame::Advertisement(ad), now, &mut r)
-            .into_iter()
-            .map(|(dst, f)| (b.peer_id(), dst, f))
-            .collect();
-        let mut guard = 0;
-        while let Some((src, dst, frame)) = queue.pop_front() {
-            guard += 1;
-            assert!(guard < 10_000);
-            let target = if dst == a.peer_id() { &mut *a } else { &mut *b };
-            for (d, f) in target
-                .middleware_mut()
-                .handle_frame(src, frame, now, &mut r)
-            {
-                let s = target.peer_id();
-                queue.push_back((s, d, f));
-            }
-        }
+        encounter(a.middleware_mut(), b.middleware_mut(), now, &mut rng(9));
     }
 
     #[test]

@@ -21,14 +21,13 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use rand::SeedableRng;
 use sos_bench::bench_config;
 use sos_bench::emit::{time_mean, Suite};
-use sos_core::middleware::Sos;
+use sos_core::middleware::{encounter, Sos};
 use sos_core::routing::SchemeKind;
 use sos_core::MessageKind;
 use sos_crypto::ca::{CertificateAuthority, Validator};
 use sos_crypto::ed25519::SigningKey;
 use sos_crypto::x25519::AgreementKey;
 use sos_crypto::{DeviceIdentity, UserId};
-use sos_experiments::eviction::encounter;
 use sos_experiments::observe::RunObserver;
 use sos_experiments::replay::{
     record_field_study_trace, replay_field_study, replay_field_study_observed,

@@ -10,7 +10,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::SeedableRng;
-use sos_core::middleware::Sos;
+use sos_core::middleware::{encounter, Sos};
 use sos_core::routing::SchemeKind;
 use sos_core::sync::{AuthorWant, SyncMsg};
 use sos_core::MessageKind;
@@ -18,7 +18,6 @@ use sos_crypto::ca::{CertificateAuthority, Validator};
 use sos_crypto::ed25519::SigningKey;
 use sos_crypto::x25519::AgreementKey;
 use sos_crypto::{DeviceIdentity, UserId};
-use sos_experiments::eviction::encounter;
 use sos_net::PeerId;
 use sos_sim::SimTime;
 
@@ -49,7 +48,7 @@ fn author_with_posts(ca: &mut CertificateAuthority, posts: u64) -> Sos {
 }
 
 /// Pumps one full encounter (browse → handshake → sync → close) via the
-/// shared `experiments::eviction::encounter` frame pump and returns the
+/// shared `sos_core::middleware::encounter` frame pump and returns the
 /// number of frames exchanged on the air.
 fn run_encounter(author: &mut Sos, browser: &mut Sos) -> u64 {
     let mut rng = rand::rngs::StdRng::seed_from_u64(1);

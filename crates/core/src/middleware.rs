@@ -857,13 +857,7 @@ impl Sos {
             }
         };
         match msg {
-            SyncMsg::Request { wants } => {
-                // A v1 peer cannot decode v2 batch frames: answer its
-                // watermark request with v1 single-bundle frames.
-                let legacy = SyncMsg::is_v1_request(bytes);
-                self.serve_request(from, &wants, legacy, now, out)
-            }
-            SyncMsg::Bundle(bundle) => self.receive_bundle(from, *bundle, now),
+            SyncMsg::Request { wants } => self.serve_request(from, &wants, now, out),
             SyncMsg::Bundles(bundles) => {
                 for bundle in bundles {
                     self.receive_bundle(from, bundle, now);
@@ -920,14 +914,12 @@ impl Sos {
     }
 
     /// Advertiser side of Fig. 2b: serve the complement of the
-    /// requester's held ranges, packed into size-budgeted batch frames
-    /// (or one v1 frame per bundle when `legacy` requesters ask), then
-    /// signal completion.
+    /// requester's held ranges, packed into size-budgeted batch frames,
+    /// then signal completion.
     fn serve_request(
         &mut self,
         from: PeerId,
         wants: &[AuthorWant],
-        legacy: bool,
         now: SimTime,
         out: &mut Vec<(PeerId, Frame)>,
     ) {
@@ -977,21 +969,6 @@ impl Sos {
             let mut outgoing = stored.clone();
             outgoing.copies = granted_copies;
             let body = outgoing.encode();
-            if legacy {
-                let payload = SyncMsg::encode_single_bundle(&body);
-                match self.adhoc.send_payload(from, &payload) {
-                    Ok(frame) => {
-                        self.stats.bundles_sent.inc();
-                        self.stats.sync_frames_sent.inc();
-                        out.push((from, frame));
-                    }
-                    Err(_) => {
-                        self.close_broken_session(from, now, out);
-                        return;
-                    }
-                }
-                continue;
-            }
             if !batch.is_empty() && batch_bytes + body.len() > sos_net::SYNC_BATCH_BUDGET {
                 if !self.flush_batch(from, now, &mut batch, out) {
                     return;
@@ -1213,6 +1190,48 @@ impl Sos {
     }
 }
 
+/// Runs one full encounter — `browser` sees `advertiser`'s broadcast,
+/// optionally connects, syncs, and both sides close — by pumping frames
+/// between the two nodes, in send order, until the air is quiet.
+/// Returns the number of frames exchanged.
+///
+/// This is the one in-process frame pump for a two-node exchange: tests,
+/// examples and benches that need "these two devices meet" call it with
+/// their own seeded RNG.
+///
+/// # Panics
+///
+/// Panics on a frame storm (a protocol loop), which would be a bug.
+pub fn encounter<R: rand::RngCore>(
+    advertiser: &mut Sos,
+    browser: &mut Sos,
+    now: SimTime,
+    rng: &mut R,
+) -> u64 {
+    let ad = advertiser.advertisement(now);
+    let mut queue: VecDeque<(PeerId, PeerId, Frame)> = browser
+        .handle_frame(advertiser.peer_id(), Frame::Advertisement(ad), now, rng)
+        .into_iter()
+        .map(|(dst, f)| (browser.peer_id(), dst, f))
+        .collect();
+    let mut frames = 0u64;
+    while let Some((src, dst, frame)) = queue.pop_front() {
+        frames += 1;
+        assert!(frames < 100_000, "frame storm");
+        let target = if dst == advertiser.peer_id() {
+            &mut *advertiser
+        } else {
+            &mut *browser
+        };
+        let replies = target.handle_frame(src, frame, now, rng);
+        let reply_src = target.peer_id();
+        for (d, f) in replies {
+            queue.push_back((reply_src, d, f));
+        }
+    }
+    frames
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1245,49 +1264,10 @@ mod tests {
         Sos::new(PeerId(idx), identity(ca, seed, name), kind)
     }
 
-    /// Delivers frames between two nodes until quiescent.
-    fn pump(a: &mut Sos, b: &mut Sos, initial: Vec<(PeerId, Frame)>, now: SimTime) {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(99);
-        let mut queue: VecDeque<(PeerId, PeerId, Frame)> = initial
-            .into_iter()
-            .map(|(dst, f)| (a.peer_id(), dst, f))
-            .collect();
-        let mut steps = 0;
-        while let Some((src, dst, frame)) = queue.pop_front() {
-            steps += 1;
-            assert!(steps < 10_000, "frame storm");
-            let target = if dst == a.peer_id() { &mut *a } else { &mut *b };
-            let replies = target.handle_frame(src, frame, now, &mut rng);
-            let reply_src = target.peer_id();
-            for (d, f) in replies {
-                queue.push_back((reply_src, d, f));
-            }
-        }
-    }
-
     /// Runs a full advertisement → session → sync exchange from `b`
     /// browsing `a`'s advertisement.
     fn browse(a: &mut Sos, b: &mut Sos, now: SimTime) {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-        let ad = a.advertisement(now);
-        let out = b.handle_frame(a.peer_id(), Frame::Advertisement(ad), now, &mut rng);
-        // Frames from b to a: pump with roles swapped.
-        let mut queue: VecDeque<(PeerId, PeerId, Frame)> = out
-            .into_iter()
-            .map(|(dst, f)| (b.peer_id(), dst, f))
-            .collect();
-        let mut steps = 0;
-        while let Some((src, dst, frame)) = queue.pop_front() {
-            steps += 1;
-            assert!(steps < 10_000, "frame storm");
-            let target = if dst == a.peer_id() { &mut *a } else { &mut *b };
-            let replies = target.handle_frame(src, frame, now, &mut rng);
-            let reply_src = target.peer_id();
-            for (d, f) in replies {
-                queue.push_back((reply_src, d, f));
-            }
-        }
-        let _ = pump; // silence unused in some test configurations
+        encounter(a, b, now, &mut rand::rngs::StdRng::seed_from_u64(7));
     }
 
     fn uid(s: &str) -> UserId {
@@ -2025,7 +2005,7 @@ mod tests {
             have: vec![],
         }];
         let mut out = Vec::new();
-        alice.serve_request(PeerId(9), &wants, false, SimTime::ZERO, &mut out);
+        alice.serve_request(PeerId(9), &wants, SimTime::ZERO, &mut out);
         assert!(out.is_empty(), "no session ⇒ nothing to transmit");
         assert!(
             alice
@@ -2090,11 +2070,11 @@ mod tests {
         );
     }
 
-    /// A v1 (watermark) requester must be answered with frames its
-    /// decoder understands: single-bundle frames and Done, never a v2
-    /// batch.
+    /// Sync tags 1 and 2 are retired: a tag-1 request is malformed, so
+    /// the advertiser closes the session with `protocol_error` and
+    /// serves nothing.
     #[test]
-    fn v1_requester_served_with_v1_frames() {
+    fn retired_request_tag_closes_with_protocol_error() {
         let mut ca = CertificateAuthority::new("Root", [1u8; 32], 0, u64::MAX);
         let mut alice = node(&mut ca, 0, 10, "alice", SchemeKind::Epidemic);
         let mut bob = node(&mut ca, 1, 20, "bob", SchemeKind::Epidemic);
@@ -2103,6 +2083,8 @@ mod tests {
                 .post(MessageKind::Post, vec![n], SimTime::ZERO)
                 .unwrap();
         }
+        let journal = sos_obs::JournalHandle::new();
+        alice.attach_obs(NodeObs::new(0, journal.clone()));
         // Establish a real session bob → alice.
         let mut rng = rand::rngs::StdRng::seed_from_u64(6);
         let init = bob.adhoc.connect(alice.peer_id(), &mut rng).unwrap();
@@ -2114,26 +2096,25 @@ mod tests {
             bob.adhoc.on_frame(alice.peer_id(), reply, 0, &mut rng),
             Ok(SessionEvent::Established(_))
         ));
-        // Bob speaks v1: watermark request for everything of alice's.
-        let v1 = SyncMsg::encode_v1_request(&[(uid("alice"), 0)]);
+        // Tag 1, one author (alice), watermark 0: "everything of alice's".
+        let mut retired = vec![1u8, 1, 0];
+        retired.extend_from_slice(uid("alice").as_bytes());
+        retired.extend_from_slice(&0u64.to_le_bytes());
         let mut out = Vec::new();
-        alice.on_sync_payload(bob.peer_id(), &v1, SimTime::ZERO, &mut out);
-        assert_eq!(alice.stats().bundles_sent, 3);
-        // Decrypt each reply at bob and check it is v1-parseable.
-        let mut kinds = Vec::new();
-        for (_, frame) in out {
-            match bob.adhoc.on_frame(alice.peer_id(), frame, 0, &mut rng) {
-                Ok(SessionEvent::Payload(bytes)) => {
-                    kinds.push(match SyncMsg::decode(&bytes).unwrap() {
-                        SyncMsg::Bundle(_) => "bundle",
-                        SyncMsg::Done => "done",
-                        other => panic!("v1 peer cannot parse {other:?}"),
-                    });
-                }
-                other => panic!("{other:?}"),
-            }
-        }
-        assert_eq!(kinds, vec!["bundle", "bundle", "bundle", "done"]);
+        alice.on_sync_payload(bob.peer_id(), &retired, SimTime::ZERO, &mut out);
+        assert_eq!(alice.stats().bundles_sent, 0, "no bundle served");
+        assert_eq!(alice.session_count(), 0, "session torn down");
+        assert_eq!(
+            journal.snapshot().close_reasons(),
+            vec![("protocol_error", 1)]
+        );
+        // The only frame out is the goodbye.
+        assert_eq!(out.len(), 1);
+        let (_, bye) = out.remove(0);
+        assert!(matches!(
+            bob.adhoc.on_frame(alice.peer_id(), bye, 0, &mut rng),
+            Ok(SessionEvent::Closed(DisconnectReason::ProtocolError))
+        ));
     }
 
     /// A chunked (multi-frame) request is answered with one Done per

@@ -16,16 +16,15 @@
 //! batched bundle transfer.
 
 use rand::SeedableRng;
-use sos_core::middleware::{Sos, SosConfig};
+use sos_core::middleware::{encounter, Sos, SosConfig};
 use sos_core::routing::SchemeKind;
 use sos_core::MessageKind;
 use sos_crypto::ca::{CertificateAuthority, Validator};
 use sos_crypto::ed25519::SigningKey;
 use sos_crypto::x25519::AgreementKey;
 use sos_crypto::{DeviceIdentity, UserId};
-use sos_net::{Frame, PeerId};
+use sos_net::PeerId;
 use sos_sim::SimTime;
-use std::collections::VecDeque;
 
 /// Scenario parameters.
 #[derive(Clone, Debug)]
@@ -115,43 +114,6 @@ fn identity(ca: &mut CertificateAuthority, seed: u8, name: &str) -> DeviceIdenti
         cert,
         Validator::new(ca.root_certificate().clone()),
     )
-}
-
-/// Runs one full encounter — `browser` sees `advertiser`'s broadcast,
-/// optionally connects, syncs, and both sides close — by pumping frames
-/// until the air is quiet. Returns the number of frames exchanged.
-///
-/// # Panics
-///
-/// Panics on a frame storm (a protocol loop), which would be a bug.
-pub fn encounter<R: rand::RngCore>(
-    advertiser: &mut Sos,
-    browser: &mut Sos,
-    now: SimTime,
-    rng: &mut R,
-) -> u64 {
-    let ad = advertiser.advertisement(now);
-    let mut queue: VecDeque<(PeerId, PeerId, Frame)> = browser
-        .handle_frame(advertiser.peer_id(), Frame::Advertisement(ad), now, rng)
-        .into_iter()
-        .map(|(dst, f)| (browser.peer_id(), dst, f))
-        .collect();
-    let mut frames = 0u64;
-    while let Some((src, dst, frame)) = queue.pop_front() {
-        frames += 1;
-        assert!(frames < 100_000, "frame storm");
-        let target = if dst == advertiser.peer_id() {
-            &mut *advertiser
-        } else {
-            &mut *browser
-        };
-        let replies = target.handle_frame(src, frame, now, rng);
-        let reply_src = target.peer_id();
-        for (d, f) in replies {
-            queue.push_back((reply_src, d, f));
-        }
-    }
-    frames
 }
 
 /// Runs the scenario.

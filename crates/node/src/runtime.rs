@@ -2,6 +2,13 @@
 //! session lifecycles, advertisement cadence, peer connectivity — as a
 //! pure state machine with frames at the edge and time always injected.
 //!
+//! The runtime owns connectivity: its peer set, fed by
+//! [`on_encounter_up`](NodeRuntime::on_encounter_up) /
+//! [`on_encounter_down`](NodeRuntime::on_encounter_down), decides who
+//! hears an advertisement and which inbound frames get through.
+//! Transports only report contact transitions (the simulation driver
+//! also keeps each contact's link distance for its physics).
+//!
 //! Two drivers move its frames:
 //!
 //! * the **simulation driver** (`sos_experiments::driver`, downstream
@@ -12,8 +19,9 @@
 //! * a **real transport** (the loopback TCP daemon, or the in-process
 //!   [`mesh`](crate::mesh) twin) uses the byte surface
 //!   ([`push_frame`](NodeRuntime::push_frame) /
-//!   [`poll_output`](NodeRuntime::poll_output)) with the runtime's own
-//!   seeded RNG and injected clock.
+//!   [`poll_output`](NodeRuntime::poll_output)), a codec shim over the
+//!   typed surface that runs it with the runtime's own seeded RNG and
+//!   injected clock.
 //!
 //! Nothing here reads a wall clock: [`advance_to`](NodeRuntime::advance_to)
 //! is the only way time moves, so the no-wallclock lint holds for in-vivo
@@ -89,8 +97,7 @@ impl Default for NodeConfig {
 pub struct NodeRuntime {
     app: AlleyOopApp,
     /// Peers inside an open contact, ascending — the emission order for
-    /// advertisement broadcasts (matching the simulation driver's
-    /// sorted adjacency).
+    /// advertisement broadcasts.
     peers: BTreeSet<u32>,
     /// Frames awaiting the transport, in emission order.
     outbox: VecDeque<(PeerId, Frame)>,
@@ -198,19 +205,16 @@ impl NodeRuntime {
     /// contact close).
     pub fn push_frame(&mut self, peer: PeerId, bytes: &[u8]) -> Result<(), NodeError> {
         let frame = Frame::decode(bytes).map_err(NodeError::Codec)?;
-        if !self.peers.contains(&peer.0) {
-            return Err(NodeError::NotInContact { peer });
+        // The typed path borrows `self` whole, so lend it the RNG's
+        // state and keep what it advanced to.
+        let mut rng = self.rng.clone();
+        let delivered = self.push_frame_in(peer, frame, self.clock, &mut rng);
+        self.rng = rng;
+        if delivered {
+            Ok(())
+        } else {
+            Err(NodeError::NotInContact { peer })
         }
-        let now = self.clock;
-        let replies = self
-            .app
-            .middleware_mut()
-            .handle_frame(peer, frame, now, &mut self.rng);
-        for event in self.app.process_events_at(now) {
-            self.events.push_back((now, event));
-        }
-        self.outbox.extend(replies);
-        Ok(())
     }
 
     /// Drains the outbox as typed frames (simulation surface).
@@ -220,8 +224,8 @@ impl NodeRuntime {
 
     /// Drains the outbox as encoded wire frames (transport surface).
     pub fn poll_output(&mut self) -> Vec<(PeerId, Vec<u8>)> {
-        self.outbox
-            .drain(..)
+        self.poll_frames()
+            .into_iter()
             .map(|(peer, frame)| (peer, frame.encode()))
             .collect()
     }
@@ -269,6 +273,8 @@ mod tests {
     use super::*;
     use alleyoop::cloud::Cloud;
     use sos_core::routing::SchemeKind;
+    use sos_obs::journal::ObsEvent;
+    use sos_obs::{JournalHandle, NodeObs};
 
     fn two_nodes(scheme: SchemeKind) -> (NodeRuntime, NodeRuntime) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(42);
@@ -387,25 +393,43 @@ mod tests {
     #[test]
     fn encounter_down_journals_out_of_range_via_middleware() {
         let (mut alice, mut bob) = two_nodes(SchemeKind::Epidemic);
+        let journal = JournalHandle::new();
+        bob.app_mut()
+            .middleware_mut()
+            .attach_obs(NodeObs::new(1, journal.clone()));
         alice.post("x", SimTime::from_secs(1));
         alice.on_encounter_up(PeerId(1));
         bob.on_encounter_up(PeerId(0));
         alice.advance_to(SimTime::from_secs(60));
         bob.advance_to(SimTime::from_secs(60));
-        pump(&mut alice, &mut bob);
-        // A session existed; losing the peer must close it.
+        // Bob hears the ad and connects...
+        for (_, bytes) in alice.poll_output() {
+            bob.push_frame(PeerId(0), &bytes).unwrap();
+        }
+        let connect = bob.poll_frames();
+        assert!(matches!(
+            connect.as_slice(),
+            [(PeerId(0), Frame::HandshakeInit(_))]
+        ));
+        // ...and the contact breaks before alice can reply.
         bob.on_encounter_down(PeerId(0));
+        assert!(!bob.in_contact(PeerId(0)));
+        let reasons: Vec<&str> = journal
+            .snapshot()
+            .entries()
+            .filter_map(|e| match e.event {
+                ObsEvent::SessionClose { reason, .. } => Some(reason),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(reasons, ["out_of_range"]);
         let closed = bob
             .take_events()
             .into_iter()
-            .any(|(_, e)| matches!(e, SosEvent::SessionClosed { .. }));
-        // SessionClosed may also have been drained during the pump; the
-        // stats tell the durable story either way.
-        let _ = closed;
-        assert_eq!(
-            bob.stats().sessions_initiated + bob.stats().sessions_accepted,
-            1
-        );
-        assert!(!bob.in_contact(PeerId(0)));
+            .map(|(_, e)| e)
+            .chain(bob.app_mut().process_events_at(SimTime::from_secs(60)))
+            .filter(|e| matches!(e, SosEvent::SessionClosed { .. }))
+            .count();
+        assert_eq!(closed, 1);
     }
 }

@@ -9,10 +9,9 @@
 //! Run with `cargo run --example quickstart`.
 
 use rand::SeedableRng;
+use sos::core::middleware::encounter;
 use sos::core::prelude::*;
-use sos::net::Frame;
 use sos::social::{AlleyOopApp, Cloud};
-use std::collections::VecDeque;
 
 fn main() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(7);
@@ -62,29 +61,11 @@ fn main() {
     );
 
     // Bob's device sees the advertisement, decides it is interesting
-    // (he follows alice and lacks #1), and requests a connection. We
-    // pump frames between the two devices until the exchange finishes —
-    // in the deployed system Multipeer Connectivity moves these bytes.
-    let mut queue: VecDeque<(PeerId, PeerId, Frame)> = bob
-        .middleware_mut()
-        .handle_frame(alice.peer_id(), Frame::Advertisement(ad), t, &mut rng)
-        .into_iter()
-        .map(|(dst, f)| (bob.peer_id(), dst, f))
-        .collect();
-    while let Some((src, dst, frame)) = queue.pop_front() {
-        let target = if dst == alice.peer_id() {
-            &mut alice
-        } else {
-            &mut bob
-        };
-        for (d, f) in target
-            .middleware_mut()
-            .handle_frame(src, frame, t, &mut rng)
-        {
-            let s = target.peer_id();
-            queue.push_back((s, d, f));
-        }
-    }
+    // (he follows alice and lacks #1), and requests a connection. The
+    // shared encounter pump moves frames between the two devices until
+    // the exchange finishes — in the deployed system Multipeer
+    // Connectivity moves these bytes.
+    encounter(alice.middleware_mut(), bob.middleware_mut(), t, &mut rng);
 
     // The post arrived, was signature-verified against Alice's
     // certificate, and landed in Bob's feed.

@@ -3,42 +3,21 @@
 //! revocation — plus the adversarial cases the paper's design must stop.
 
 use rand::SeedableRng;
+use sos::core::middleware::encounter;
 use sos::core::prelude::*;
 use sos::core::{Bundle, MessageId, SosMessage};
 use sos::crypto::ca::{CertificateAuthority, Validator};
 use sos::crypto::ed25519::SigningKey;
 use sos::crypto::x25519::AgreementKey;
 use sos::crypto::{DeviceIdentity, UserId};
-use sos::net::Frame;
 use sos::social::{AlleyOopApp, Cloud};
-use std::collections::VecDeque;
 
 fn rng(seed: u64) -> rand::rngs::StdRng {
     rand::rngs::StdRng::seed_from_u64(seed)
 }
 
 fn pump(a: &mut AlleyOopApp, b: &mut AlleyOopApp, now: SimTime, seed: u64) {
-    let mut r = rng(seed);
-    let ad = a.middleware().advertisement(now);
-    let mut queue: VecDeque<(PeerId, PeerId, Frame)> = b
-        .middleware_mut()
-        .handle_frame(a.peer_id(), Frame::Advertisement(ad), now, &mut r)
-        .into_iter()
-        .map(|(dst, f)| (b.peer_id(), dst, f))
-        .collect();
-    let mut guard = 0;
-    while let Some((src, dst, frame)) = queue.pop_front() {
-        guard += 1;
-        assert!(guard < 100_000, "frame storm");
-        let target = if dst == a.peer_id() { &mut *a } else { &mut *b };
-        for (d, f) in target
-            .middleware_mut()
-            .handle_frame(src, frame, now, &mut r)
-        {
-            let s = target.peer_id();
-            queue.push_back((s, d, f));
-        }
-    }
+    encounter(a.middleware_mut(), b.middleware_mut(), now, &mut rng(seed));
 }
 
 /// A device with a certificate from a *different* CA (an impostor
