@@ -8,9 +8,12 @@
 //!   must be ≥ 4x faster than `ed25519/verify_256B_naive` (the kept
 //!   double-and-add oracle);
 //! * a 200-bundle sync-encounter verification with warm caches must be
-//!   ≥ 3x faster wall-clock than the naive per-bundle path.
+//!   ≥ 3x faster wall-clock than the naive per-bundle path;
+//! * batch verification of one frame's worth of one author's
+//!   signatures ([`FRAME_SIGNATURES`]) must be ≥ 1.6x faster per
+//!   signature than warm serial `verify`.
 //!
-//! Both invariants are asserted — a run that violates them fails loudly
+//! All three invariants are asserted — a run that violates them fails loudly
 //! — and every measurement is written to `BENCH_crypto.json` at the
 //! workspace root so the perf trajectory is tracked across PRs. Set
 //! `SOS_BENCH_SMOKE=1` (as CI does) for a few-iteration smoke run.
@@ -30,6 +33,14 @@ use sos_sim::SimTime;
 /// Bundles per encounter: PR 2's batched sync serves up to this many
 /// per session (`SosConfig::max_bundles_per_session`).
 const ENCOUNTER_BUNDLES: u64 = 200;
+
+/// Signatures in one `SyncMsg::Bundles` frame of 140-byte posts: the
+/// 32 KiB batch budget holds about this many bundles.
+const FRAME_SIGNATURES: usize = 67;
+
+/// Group sizes the batch/serial ratio is recorded at, around the
+/// [`ed25519::BATCH_MIN`] crossover and at a full frame.
+const BATCH_SIZES: [usize; 6] = [2, 3, 4, 8, 16, FRAME_SIGNATURES];
 
 /// The shared recorder behind every `measure` call and the JSON write.
 static SUITE: Suite = Suite::new("crypto");
@@ -84,6 +95,55 @@ fn bench_signatures(_c: &mut Criterion) {
     assert!(
         speedup >= 4.0,
         "verify fast path regressed: only {speedup:.1}x over naive"
+    );
+}
+
+/// Batch against warm serial verification of one author's signatures
+/// at several group sizes, with the full-frame gate. The batch side
+/// calls the thresholdless equation so the ratio is measured below
+/// `BATCH_MIN` too — that is where the crossover is read from.
+fn bench_batch(_c: &mut Criterion) {
+    let sk = SigningKey::from_seed([8; 32]);
+    let vk = sk.verifying_key();
+    let prepared = PreparedVerifyingKey::new(&vk).expect("key decompresses");
+    let msgs: Vec<Vec<u8>> = (0..FRAME_SIGNATURES).map(|n| vec![n as u8; 180]).collect();
+    let sigs: Vec<ed25519::Signature> = msgs.iter().map(|m| sk.sign(m)).collect();
+    let items: Vec<(&[u8], &ed25519::Signature)> = msgs
+        .iter()
+        .zip(&sigs)
+        .map(|(m, s)| (m.as_slice(), s))
+        .collect();
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    SUITE.record("host/cores", cores as f64);
+    let mut full_frame_speedup = 0.0;
+    for n in BATCH_SIZES {
+        let group = &items[..n];
+        let serial = measure(&format!("ed25519/verify_serial_n{n}"), || {
+            for (m, s) in group {
+                assert!(vk.verify(std::hint::black_box(m), s));
+            }
+        });
+        let batch = measure(&format!("ed25519/verify_batch_n{n}"), || {
+            let verdicts = prepared.verify_batch_equation(std::hint::black_box(group));
+            assert!(verdicts.iter().all(|&ok| ok));
+        });
+        // Recorded in percent: the JSON keeps one decimal.
+        let ratio = batch / serial;
+        SUITE.record(
+            &format!("ed25519/batch_over_serial_pct_n{n}"),
+            100.0 * ratio,
+        );
+        println!("ed25519 batch/serial per signature at n={n}: {ratio:.2}");
+        if n == FRAME_SIGNATURES {
+            full_frame_speedup = serial / batch;
+        }
+    }
+    println!(
+        "ed25519 batch speedup at n={FRAME_SIGNATURES}: {full_frame_speedup:.2}x (gate: >= 1.6x)"
+    );
+    assert!(
+        full_frame_speedup >= 1.6,
+        "batch verification regressed: only {full_frame_speedup:.2}x over serial at a full frame"
     );
 }
 
@@ -202,8 +262,35 @@ fn verify_batch_fast(bundles: &[Bundle], validator: &Validator) {
     }
 }
 
+/// Verifies the batch the way the middleware's `Bundles` arm does: per
+/// frame of [`FRAME_SIGNATURES`] bundles, one `verify_batch` call for
+/// the author's signatures, then each bundle's certificate checks with
+/// that verdict.
+fn verify_batch_frames(bundles: &[Bundle], validator: &Validator) {
+    for frame in bundles.chunks(FRAME_SIGNATURES) {
+        let signing: Vec<Vec<u8>> = frame
+            .iter()
+            .map(|b| {
+                let m = &b.message;
+                SosMessage::signing_bytes(&m.id, m.created_at, m.kind, &m.payload)
+            })
+            .collect();
+        let items: Vec<(&[u8], &ed25519::Signature)> = frame
+            .iter()
+            .zip(&signing)
+            .map(|(b, m)| (m.as_slice(), &b.message.signature))
+            .collect();
+        let key = &frame[0].author_certificate.ed25519_public;
+        for (bundle, ok) in frame.iter().zip(key.verify_batch(&items)) {
+            bundle
+                .verify_with_verdict(validator, 10, Some(ok))
+                .expect("bundle valid");
+        }
+    }
+}
+
 /// The headline end-to-end number: what the security layer costs per
-/// 200-bundle encounter, naive vs cold-cache vs warm-cache.
+/// 200-bundle encounter, naive vs cold-cache vs warm-cache vs batched.
 fn bench_encounter(_c: &mut Criterion) {
     let (bundles, ca) = encounter_fixture();
     let root = ca.root_certificate().clone();
@@ -226,10 +313,19 @@ fn bench_encounter(_c: &mut Criterion) {
         verify_batch_fast(&bundles, &warm_validator)
     });
 
+    let batch = measure("encounter/verify_200_batch", || {
+        verify_batch_frames(&bundles, &warm_validator)
+    });
+
     let warm_speedup = naive / warm;
     let cold_speedup = naive / cold;
     SUITE.record("encounter/warm_speedup", warm_speedup);
     SUITE.record("encounter/cold_speedup", cold_speedup);
+    SUITE.record("encounter/batch_over_warm_speedup", warm / batch);
+    println!(
+        "encounter batch speedup over warm serial: {:.2}x",
+        warm / batch
+    );
     println!(
         "encounter speedup: {cold_speedup:.1}x cold, {warm_speedup:.1}x warm (gate: >= 3x warm)"
     );
@@ -249,6 +345,7 @@ criterion_group!(
     benches,
     bench_hashes,
     bench_signatures,
+    bench_batch,
     bench_agreement,
     bench_aead,
     bench_certificates,

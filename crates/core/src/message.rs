@@ -170,6 +170,25 @@ impl Bundle {
     ///
     /// The specific [`BundleRejection`] for the first failed check.
     pub fn verify(&self, validator: &Validator, now_secs: u64) -> Result<(), BundleRejection> {
+        self.verify_with_verdict(validator, now_secs, None)
+    }
+
+    /// [`Bundle::verify`] with the author-signature check's outcome
+    /// supplied by the caller when it is already known — e.g. from one
+    /// `VerifyingKey::verify_batch` call over a sync frame. The verdict
+    /// must be that of [`SosMessage::verify_signature`] under this
+    /// bundle's certificate key; `None` computes it here. The checks
+    /// still run in the same order, so the rejection is the same.
+    ///
+    /// # Errors
+    ///
+    /// The specific [`BundleRejection`] for the first failed check.
+    pub fn verify_with_verdict(
+        &self,
+        validator: &Validator,
+        now_secs: u64,
+        signature_valid: Option<bool>,
+    ) -> Result<(), BundleRejection> {
         // Message numbers start at 1 (§V-A); number 0 is unrepresentable
         // in the sync protocol's have-ranges, so a signed-but-zero
         // number would poison every future request for its author.
@@ -182,10 +201,11 @@ impl Bundle {
         if self.author_certificate.subject != self.message.id.author {
             return Err(BundleRejection::AuthorMismatch);
         }
-        if !self
-            .message
-            .verify_signature(&self.author_certificate.ed25519_public)
-        {
+        let signature_valid = signature_valid.unwrap_or_else(|| {
+            self.message
+                .verify_signature(&self.author_certificate.ed25519_public)
+        });
+        if !signature_valid {
             return Err(BundleRejection::BadSignature);
         }
         Ok(())

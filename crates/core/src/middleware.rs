@@ -859,8 +859,9 @@ impl Sos {
         match msg {
             SyncMsg::Request { wants } => self.serve_request(from, &wants, now, out),
             SyncMsg::Bundles(bundles) => {
-                for bundle in bundles {
-                    self.receive_bundle(from, bundle, now);
+                let verdicts = self.verify_frame_signatures(&bundles);
+                for (bundle, verdict) in bundles.into_iter().zip(verdicts) {
+                    self.receive_bundle(from, bundle, verdict, now);
                 }
             }
             SyncMsg::Done => {
@@ -1027,9 +1028,54 @@ impl Sos {
         }
     }
 
+    /// Pre-pass over one `Bundles` frame: verifies the author signatures
+    /// of every bundle that is not a content-duplicate of a held copy,
+    /// with one `VerifyingKey::verify_batch` call per author key — one
+    /// batch equation where a peer relays an author's backlog. Returns
+    /// one verdict per bundle, `None` for the duplicates skipped.
+    ///
+    /// A verdict is a pure function of (key, message, signature), so
+    /// computing it early changes no outcome: [`Sos::receive_bundle`]
+    /// still runs dedup, certificate validation, the subject match and
+    /// every rejection in frame order, and only consumes the verdict in
+    /// place of its own signature check.
+    fn verify_frame_signatures(&self, bundles: &[Bundle]) -> Vec<Option<bool>> {
+        let _span = sos_obs::profile::span("core/verify_batch");
+        let mut groups: BTreeMap<[u8; 32], Vec<usize>> = BTreeMap::new();
+        for (i, bundle) in bundles.iter().enumerate() {
+            let held = self.store.get(&bundle.message.id);
+            if !held.is_some_and(|held| bundle.content_matches(held)) {
+                let key = bundle.author_certificate.ed25519_public.0;
+                groups.entry(key).or_default().push(i);
+            }
+        }
+        let mut verdicts = vec![None; bundles.len()];
+        for (key, indices) in groups {
+            let signing: Vec<Vec<u8>> = indices
+                .iter()
+                .map(|&i| {
+                    let m = &bundles[i].message;
+                    SosMessage::signing_bytes(&m.id, m.created_at, m.kind, &m.payload)
+                })
+                .collect();
+            let items: Vec<(&[u8], &sos_crypto::Signature)> = indices
+                .iter()
+                .zip(&signing)
+                .map(|(&i, bytes)| (bytes.as_slice(), &bundles[i].message.signature))
+                .collect();
+            let batch = sos_crypto::VerifyingKey(key).verify_batch(&items);
+            for (&i, ok) in indices.iter().zip(batch) {
+                verdicts[i] = Some(ok);
+            }
+        }
+        verdicts
+    }
+
     /// Receiver side: deduplicate against the store, verify (§IV) only
     /// what is actually new, store per the routing scheme, and surface
-    /// to the application.
+    /// to the application. `signature_valid` is the author-signature
+    /// verdict when [`Sos::verify_frame_signatures`] already computed
+    /// it, `None` to compute it here.
     ///
     /// Dedup runs **before** verification: a duplicate whose content
     /// matches the held (already verified) copy only needs the hop-count
@@ -1039,7 +1085,13 @@ impl Sos {
     /// is guarded by content equality, so a forged bundle reusing a
     /// stored id cannot poison hop counts without passing the full
     /// verification itself.
-    fn receive_bundle(&mut self, from: PeerId, mut bundle: Bundle, now: SimTime) {
+    fn receive_bundle(
+        &mut self,
+        from: PeerId,
+        mut bundle: Bundle,
+        signature_valid: Option<bool>,
+        now: SimTime,
+    ) {
         let _span = sos_obs::profile::span("core/receive_bundle");
         self.stats.bundles_received.inc();
         let id = bundle.message.id;
@@ -1068,7 +1120,8 @@ impl Sos {
             // duplicate may still touch the stored copy.
             let same_message = bundle.message == held.message;
             let validator = self.adhoc.identity().validator();
-            let (detail, cause) = match bundle.verify(validator, now.as_secs()) {
+            let verdict = bundle.verify_with_verdict(validator, now.as_secs(), signature_valid);
+            let (detail, cause) = match verdict {
                 Ok(()) if same_message => {
                     // The identical signed message wrapped in a
                     // *different but valid* certificate for the same
@@ -1131,7 +1184,9 @@ impl Sos {
             return;
         }
         let validator = self.adhoc.identity().validator();
-        if let Err(rejection) = bundle.verify(validator, now.as_secs()) {
+        if let Err(rejection) =
+            bundle.verify_with_verdict(validator, now.as_secs(), signature_valid)
+        {
             self.stats.security_rejections.inc();
             self.stats.security_alerts.inc();
             self.note(
@@ -1300,13 +1355,13 @@ mod tests {
         };
 
         // First copy arrives over a long path: stored with hops 5+1.
-        bob.receive_bundle(PeerId(9), far, SimTime::from_secs(2));
+        bob.receive_bundle(PeerId(9), far, None, SimTime::from_secs(2));
         assert_eq!(bob.store.get(&id).unwrap().hops, 6);
 
         // The same bundle straight from the author must lower the
         // stored count through the *middleware* duplicate path, not
         // just via MessageStore::insert in isolation.
-        bob.receive_bundle(PeerId(9), near, SimTime::from_secs(3));
+        bob.receive_bundle(PeerId(9), near, None, SimTime::from_secs(3));
         assert_eq!(bob.stats().bundles_duplicate, 1);
         assert_eq!(bob.store.get(&id).unwrap().hops, 1);
         assert_eq!(bob.store.len(), 1);
@@ -1335,13 +1390,13 @@ mod tests {
         let id = msg.id;
         let mut genuine = Bundle::new(msg, cert);
         genuine.hops = 5;
-        bob.receive_bundle(PeerId(9), genuine.clone(), SimTime::from_secs(2));
+        bob.receive_bundle(PeerId(9), genuine.clone(), None, SimTime::from_secs(2));
         assert_eq!(bob.store.get(&id).unwrap().hops, 6);
 
         let mut forged = genuine.clone();
         forged.message.payload = b"forgery".to_vec();
         forged.hops = 0;
-        bob.receive_bundle(PeerId(9), forged, SimTime::from_secs(3));
+        bob.receive_bundle(PeerId(9), forged, None, SimTime::from_secs(3));
         assert_eq!(bob.store.get(&id).unwrap().hops, 6, "hop count poisoned");
         assert_eq!(bob.store.get(&id).unwrap().message.payload, b"genuine");
         assert_eq!(bob.stats().security_rejections, 1);
@@ -1378,11 +1433,11 @@ mod tests {
             b
         };
         // First copy arrives within the certificate's validity.
-        bob.receive_bundle(PeerId(9), far, SimTime::from_secs(50));
+        bob.receive_bundle(PeerId(9), far, None, SimTime::from_secs(50));
         assert_eq!(bob.store.get(&id).unwrap().hops, 6);
         // Second copy arrives long after expiry: verification would
         // reject it, but the content-equal dedup path never runs it.
-        bob.receive_bundle(PeerId(9), near, SimTime::from_secs(10_000));
+        bob.receive_bundle(PeerId(9), near, None, SimTime::from_secs(10_000));
         assert_eq!(bob.stats().bundles_duplicate, 1);
         assert_eq!(bob.stats().security_rejections, 0);
         assert_eq!(bob.store.get(&id).unwrap().hops, 1, "merge still applies");
@@ -1414,9 +1469,9 @@ mod tests {
         old_env.hops = 5;
         let new_env = Bundle::new(msg, cert_v2);
 
-        bob.receive_bundle(PeerId(9), old_env, SimTime::from_secs(2));
+        bob.receive_bundle(PeerId(9), old_env, None, SimTime::from_secs(2));
         assert_eq!(bob.store.get(&id).unwrap().hops, 6);
-        bob.receive_bundle(PeerId(9), new_env.clone(), SimTime::from_secs(3));
+        bob.receive_bundle(PeerId(9), new_env.clone(), None, SimTime::from_secs(3));
         assert_eq!(bob.stats().bundles_duplicate, 1);
         assert_eq!(bob.stats().security_rejections, 0);
         assert_eq!(bob.store.get(&id).unwrap().hops, 1, "merge applies");
@@ -1450,8 +1505,8 @@ mod tests {
             );
             Bundle::new(msg, cert.clone())
         };
-        bob.receive_bundle(PeerId(9), make(b"version one"), SimTime::from_secs(2));
-        bob.receive_bundle(PeerId(9), make(b"version two"), SimTime::from_secs(3));
+        bob.receive_bundle(PeerId(9), make(b"version one"), None, SimTime::from_secs(2));
+        bob.receive_bundle(PeerId(9), make(b"version two"), None, SimTime::from_secs(3));
         let id = MessageId {
             author: alice,
             number: 1,
@@ -2168,5 +2223,133 @@ mod tests {
         browse(&mut bob, &mut alice, SimTime::from_secs(60));
         assert_eq!(alice.stats().sessions_initiated, before);
         assert_eq!(alice.stats().bundles_duplicate, 0);
+    }
+
+    /// Everything one `Bundles` frame can hold, fed to a fresh receiver
+    /// once as a single ~70-bundle frame (the batch-verify pre-pass
+    /// groups it by author) and once as one frame per bundle (every
+    /// group below the batch threshold): stats, events and journal must
+    /// come out identical.
+    #[test]
+    fn one_big_frame_matches_one_bundle_per_frame() {
+        struct Run {
+            stats: SosStats,
+            events: String,
+            journal: String,
+        }
+        let run = |whole_frame: bool| -> Run {
+            let mut ca = CertificateAuthority::new("Root", [1u8; 32], 0, u64::MAX);
+            let mut bob = node(&mut ca, 1, 10, "bob", SchemeKind::Epidemic);
+            let journal = sos_obs::JournalHandle::new();
+            bob.attach_obs(NodeObs::new(1, journal.clone()));
+            let alice = uid("alice");
+            let alice_sk = SigningKey::from_seed([2u8; 32]);
+            let alice_ak = AgreementKey::from_secret([3u8; 32]);
+            let cert = ca.issue(
+                alice,
+                "alice",
+                alice_sk.verifying_key(),
+                *alice_ak.public(),
+                0,
+            );
+            let renewed = ca.issue(
+                alice,
+                "alice",
+                alice_sk.verifying_key(),
+                *alice_ak.public(),
+                1,
+            );
+            let carol = uid("carol");
+            let carol_sk = SigningKey::from_seed([4u8; 32]);
+            let carol_ak = AgreementKey::from_secret([5u8; 32]);
+            let carol_cert = ca.issue(
+                carol,
+                "carol",
+                carol_sk.verifying_key(),
+                *carol_ak.public(),
+                0,
+            );
+            let post = |sk: &SigningKey, author: UserId, n: u64, payload: &[u8]| {
+                SosMessage::create(
+                    sk,
+                    author,
+                    n,
+                    SimTime::from_secs(n),
+                    MessageKind::Post,
+                    payload.to_vec(),
+                )
+            };
+            // Held before the frame: alice 1..=4.
+            for n in 1..=4 {
+                let held = Bundle::new(post(&alice_sk, alice, n, b"held"), cert.clone());
+                bob.receive_bundle(PeerId(9), held, None, SimTime::from_secs(5));
+            }
+            let mut frame = Vec::new();
+            // Equivocation: a second validly signed content for id 1.
+            frame.push(Bundle::new(
+                post(&alice_sk, alice, 1, b"other"),
+                cert.clone(),
+            ));
+            for n in 10..70 {
+                frame.push(Bundle::new(
+                    post(&alice_sk, alice, n, b"fresh"),
+                    cert.clone(),
+                ));
+            }
+            // Content-duplicate of held id 2, over a different hop count.
+            let mut dup = Bundle::new(post(&alice_sk, alice, 2, b"held"), cert.clone());
+            dup.hops = 7;
+            frame.push(dup);
+            // Certificate-renewal duplicate of held id 3.
+            frame.push(Bundle::new(post(&alice_sk, alice, 3, b"held"), renewed));
+            // Forged duplicate of held id 4, and a forged fresh bundle.
+            let mut forged_dup = Bundle::new(post(&alice_sk, alice, 4, b"held"), cert.clone());
+            forged_dup.message.payload = b"tampered".to_vec();
+            frame.push(forged_dup);
+            let mut forged = Bundle::new(post(&alice_sk, alice, 80, b"fresh"), cert.clone());
+            forged.message.signature.0[40] ^= 1;
+            frame.push(forged);
+            // A fresh bundle repeated inside the frame, and a second
+            // author below the batch threshold.
+            frame.push(frame[5].clone());
+            for n in 1..=2 {
+                frame.push(Bundle::new(
+                    post(&carol_sk, carol, n, b"carol"),
+                    carol_cert.clone(),
+                ));
+            }
+            assert!(frame.len() >= 68);
+            let now = SimTime::from_secs(100);
+            let mut out = Vec::new();
+            if whole_frame {
+                let bytes = SyncMsg::Bundles(frame).encode().unwrap();
+                bob.on_sync_payload(PeerId(9), &bytes, now, &mut out);
+            } else {
+                for bundle in frame {
+                    let bytes = SyncMsg::Bundles(vec![bundle]).encode().unwrap();
+                    bob.on_sync_payload(PeerId(9), &bytes, now, &mut out);
+                }
+            }
+            assert!(out.is_empty());
+            Run {
+                stats: bob.stats(),
+                events: format!("{:?}", bob.poll_events()),
+                journal: journal.snapshot().to_jsonl(),
+            }
+        };
+        let batched = run(true);
+        let serial = run(false);
+        // The frame exercised every classification.
+        assert_eq!(
+            batched.stats.security_rejections, 3,
+            "equivocation + 2 forgeries"
+        );
+        assert_eq!(
+            batched.stats.bundles_duplicate, 3,
+            "content, renewal, in-frame"
+        );
+        assert_eq!(batched.stats, serial.stats);
+        assert_eq!(batched.events, serial.events);
+        assert_eq!(batched.journal, serial.journal);
     }
 }

@@ -1,9 +1,14 @@
 //! Property tests pinning every windowed/precomputed fast path to the
-//! naive double-and-add oracles it replaced (ISSUE 3 tentpole): the
-//! fixed-window basepoint table, the 4-bit sliding-window variable-base
-//! multiplication, the Straus/Shamir interleaved double-scalar
-//! multiplication, the prepared/cached verification flavours, and the
+//! naive double-and-add oracles it replaced: the fixed-window basepoint
+//! table, the 4-bit sliding-window variable-base multiplication, the
+//! Straus/Shamir interleaved double-scalar multiplication, the
+//! prepared/cached verification flavours, batch verification, and the
 //! validator's certificate cache.
+//!
+//! Every fast verification flavour applies the cofactored rule of
+//! RFC 8032 §5.1.7, so its oracle is [`verify_naive_cofactored`] below;
+//! the kept cofactorless `VerifyingKey::verify_naive` differs from it
+//! only on signatures whose `R` carries a small-order component.
 //!
 //! Random inputs come from proptest; the edge scalars the recodings are
 //! most likely to mishandle (0, 1, ℓ−1, ℓ, 2²⁵⁶−1) are exercised
@@ -14,6 +19,7 @@ use sos_crypto::ca::{CertificateAuthority, Validator};
 use sos_crypto::cert::UserId;
 use sos_crypto::ed25519::{
     basepoint_table, EdwardsPoint, FixedWindowTable, PreparedVerifyingKey, Signature, SigningKey,
+    VerifyingKey,
 };
 use sos_crypto::scalar::Scalar;
 use sos_crypto::x25519::AgreementKey;
@@ -98,6 +104,159 @@ fn non_canonical_byte_inputs_reduce_like_subgroup_order() {
         let naive = EdwardsPoint::basepoint().mul_bytes(&raw);
         let fast = basepoint_table().mul(&Scalar::from_bytes_mod_order(&raw));
         assert!(fast.equals(&naive));
+    }
+}
+
+/// The cofactored verification rule by double-and-add only: `s` must be
+/// canonical, `R` must decode from its one canonical encoding, and
+/// `[8]([s]B − R − [k]A)` must be the identity.
+fn verify_naive_cofactored(vk: &VerifyingKey, message: &[u8], signature: &Signature) -> bool {
+    let sig = signature.as_bytes();
+    let mut r_enc = [0u8; 32];
+    r_enc.copy_from_slice(&sig[..32]);
+    let mut s_bytes = [0u8; 32];
+    s_bytes.copy_from_slice(&sig[32..]);
+    let Some(s) = Scalar::from_canonical_bytes(&s_bytes) else {
+        return false;
+    };
+    let Some(a) = EdwardsPoint::decompress(vk.as_bytes()) else {
+        return false;
+    };
+    // A decoded R that does not re-encode to the same bytes was given
+    // in a non-canonical encoding.
+    let Some(r) = EdwardsPoint::decompress(&r_enc).filter(|r| r.compress() == r_enc) else {
+        return false;
+    };
+    let mut h = sos_crypto::sha2::Sha512::new();
+    h.update(&r_enc);
+    h.update(vk.as_bytes());
+    h.update(message);
+    let k = Scalar::from_bytes_mod_order(&h.finalize());
+    let sb = EdwardsPoint::basepoint().mul_scalar_naive(&s);
+    let rhs = r.add(&a.mul_scalar_naive(&k));
+    let mut eight = [0u8; 32];
+    eight[0] = 8;
+    sb.add(&rhs.neg())
+        .mul_bytes(&eight)
+        .equals(&EdwardsPoint::identity())
+}
+
+/// An encoding of no curve point (a y whose x² is a non-square).
+fn off_curve_encoding() -> [u8; 32] {
+    (0..=255u8)
+        .map(|b0| {
+            let mut bytes = [0x5au8; 32];
+            bytes[0] = b0;
+            bytes[31] = 0x2a;
+            bytes
+        })
+        .find(|b| EdwardsPoint::decompress(b).is_none())
+        .expect("about half of all encodings are off the curve")
+}
+
+/// The identity (y = 1) encoded non-canonically as y = 1 + p.
+fn non_canonical_identity() -> [u8; 32] {
+    let mut bytes = [0xffu8; 32];
+    bytes[0] = 0xee;
+    bytes[31] = 0x7f;
+    bytes
+}
+
+/// `s + ℓ` as bytes: the same scalar, non-canonically encoded.
+fn add_l(s: &[u8]) -> [u8; 32] {
+    let l = l_bytes();
+    let mut out = [0u8; 32];
+    let mut carry = 0u16;
+    for i in 0..32 {
+        let v = s[i] as u16 + l[i] as u16 + carry;
+        out[i] = v as u8;
+        carry = v >> 8;
+    }
+    out
+}
+
+/// Builds item `i` of a batch from its corruption choice. Kinds 0 and 7
+/// stay valid under the cofactored rule; every other kind is invalid.
+fn batch_item(sk: &SigningKey, i: usize, kind: u8, bit: u16, t: u8) -> (Vec<u8>, Signature) {
+    let mut msg = format!("bundle {i} of a sync frame").into_bytes();
+    let mut sig = *sk.sign(&msg).as_bytes();
+    match kind {
+        1 => sig[(bit % 256) as usize / 8] ^= 1 << (bit % 8),
+        2 => sig[32 + (bit % 256) as usize / 8] ^= 1 << (bit % 8),
+        3 => {
+            let at = bit as usize % msg.len();
+            msg[at] ^= 1 << (bit % 8);
+        }
+        4 => {
+            let s = add_l(&sig[32..]);
+            sig[32..].copy_from_slice(&s);
+        }
+        5 => sig[..32].copy_from_slice(&off_curve_encoding()),
+        6 => sig[..32].copy_from_slice(&non_canonical_identity()),
+        7 => sig = *sk.sign_torsion_malleated(&msg, t).as_bytes(),
+        _ => {}
+    }
+    (msg, Signature(sig))
+}
+
+#[test]
+fn small_order_malleation_splits_the_two_oracles() {
+    let sk = SigningKey::from_seed([5u8; 32]);
+    let vk = sk.verifying_key();
+    let msg = b"torsion";
+    for t in 0..8u8 {
+        let sig = sk.sign_torsion_malleated(msg, t);
+        assert!(verify_naive_cofactored(&vk, msg, &sig), "t={t}");
+        assert!(vk.verify(msg, &sig), "t={t}");
+        assert_eq!(vk.verify_naive(msg, &sig), t == 0, "t={t}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// `verify_batch(items)[i] == verify(items[i]) ==
+    /// verify_naive_cofactored(items[i])` for 0..=80 items mixing honest
+    /// signatures, bit flips in `R`, `s` or the message, a non-canonical
+    /// `s`, an undecodable or non-canonical `R`, small-order-malleated
+    /// `R`, and repeats of earlier items. Half the cases corrupt
+    /// nothing, so the all-valid branch of the batch equation runs too.
+    #[test]
+    fn batch_verdicts_match_single_and_cofactored_oracle(
+        seed in prop::array::uniform32(any::<u8>()),
+        clean in any::<bool>(),
+        plan in prop::collection::vec((0u8..12, any::<u16>(), any::<u8>(), any::<u8>()), 0..=80)
+    ) {
+        let sk = SigningKey::from_seed(seed);
+        let vk = sk.verifying_key();
+        let prepared = PreparedVerifyingKey::new(&vk).expect("derived keys decompress");
+        let mut owned: Vec<(Vec<u8>, Signature)> = Vec::with_capacity(plan.len());
+        for (i, &(kind, bit, t, repeat)) in plan.iter().enumerate() {
+            if i > 0 && repeat % 6 == 0 {
+                let earlier = owned[repeat as usize % i].clone();
+                owned.push(earlier);
+                continue;
+            }
+            let kind = if clean && kind != 7 { 0 } else { kind };
+            owned.push(batch_item(&sk, i, kind, bit, t));
+        }
+        let items: Vec<(&[u8], &Signature)> =
+            owned.iter().map(|(m, s)| (m.as_slice(), s)).collect();
+        let batch = vk.verify_batch(&items);
+        let equation = prepared.verify_batch_equation(&items);
+        prop_assert_eq!(batch.len(), items.len());
+        for (i, (msg, sig)) in items.iter().enumerate() {
+            let single = vk.verify(msg, sig);
+            prop_assert_eq!(batch[i], single, "item {} batch vs verify", i);
+            prop_assert_eq!(equation[i], single, "item {} equation vs verify", i);
+            prop_assert_eq!(vk.verify_uncached(msg, sig), single, "item {} uncached", i);
+            prop_assert_eq!(
+                single,
+                verify_naive_cofactored(&vk, msg, sig),
+                "item {} verify vs cofactored oracle",
+                i
+            );
+        }
     }
 }
 
